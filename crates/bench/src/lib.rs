@@ -1,7 +1,7 @@
 //! The throughput bench harness behind `bench-runner` and the committed
 //! `BENCH_*.json` perf trajectory.
 //!
-//! The criterion benches under `benches/` regenerate the paper's tables and
+//! The `full_evaluation` example regenerates the paper's tables and
 //! figures; this library measures something different — **simulator
 //! throughput**: how many (workload × policy) sweep cells per second and how
 //! many simulated cycles per second the core sustains. Every downstream

@@ -14,14 +14,13 @@
 //! ## The two layers
 //!
 //! * [`AnalysisStore`] — the thread-safe analysis cache. A fingerprint-keyed
-//!   map of `Arc<AnalysisBundle>`s split into fingerprint-range shards
-//!   (each behind its own `RwLock`), with per-fingerprint **in-flight
-//!   guards**: when two threads request the same un-analyzed program, one
-//!   runs Algorithm 2 and the other blocks until the result lands, so the
-//!   exactly-once property holds under concurrency. Cache counters are
-//!   atomics, observable through [`AnalysisStore::stats`], and the whole
-//!   store (or any one shard, [`AnalysisStore::snapshot_shard`]) serializes
-//!   to an [`AnalysisSnapshot`] for warm-starts and cross-process sync.
+//!   map of `Arc<AnalysisBundle>`s behind one `RwLock`, with
+//!   per-fingerprint **in-flight guards**: when two threads request the
+//!   same un-analyzed program, one runs Algorithm 2 and the other blocks
+//!   until the result lands, so the exactly-once property holds under
+//!   concurrency. Cache counters are atomics, observable through
+//!   [`AnalysisStore::stats`], and the store serializes to an
+//!   [`AnalysisSnapshot`] for warm-starts ([`AnalysisStore::snapshot`]).
 //! * [`SweepExecutor`] — a stateless sweep engine borrowing a store and
 //!   evaluating workload × design matrices into [`EvalRecord`]s. Any number
 //!   of executors can run against one store concurrently. Sweeps honor a
@@ -65,7 +64,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::time::{Duration, Instant};
 
 /// One point of the design matrix: a named, complete processor
@@ -228,36 +229,16 @@ struct InFlight {
 /// Releases an in-flight guard on every exit path (success, error, panic):
 /// removes the fingerprint from the in-flight map and wakes the waiters.
 struct AnalyzerGuard<'a> {
-    shard: &'a StoreShard,
+    store: &'a AnalysisStore,
     key: u64,
     flight: Arc<InFlight>,
 }
 
 impl Drop for AnalyzerGuard<'_> {
     fn drop(&mut self) {
-        lock(&self.shard.in_flight).remove(&self.key);
+        lock(&self.store.in_flight).remove(&self.key);
         *lock(&self.flight.done) = true;
         self.flight.ready.notify_all();
-    }
-}
-
-/// One fingerprint-range shard of an [`AnalysisStore`]: its slice of the
-/// entry map plus the in-flight guards for fingerprints in its range. Each
-/// shard locks independently, so concurrent sweeps over different programs
-/// contend only when their fingerprints land in the same range.
-#[derive(Default)]
-struct StoreShard {
-    entries: RwLock<HashMap<u64, StoreEntry>>,
-    in_flight: Mutex<HashMap<u64, Arc<InFlight>>>,
-}
-
-impl StoreShard {
-    fn read_entries(&self) -> std::sync::RwLockReadGuard<'_, HashMap<u64, StoreEntry>> {
-        self.entries.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write_entries(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<u64, StoreEntry>> {
-        self.entries.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -268,40 +249,24 @@ impl StoreShard {
 pub type InsertObserver = Arc<dyn Fn(&SnapshotEntry) + Send + Sync>;
 
 /// The thread-safe analysis cache: fingerprint-keyed `Arc<AnalysisBundle>`s
-/// sharded by fingerprint range, exactly-once analysis under concurrency
-/// via per-fingerprint in-flight guards, and atomic [`CacheStats`].
+/// behind one `RwLock`, exactly-once analysis under concurrency via
+/// per-fingerprint in-flight guards, and atomic [`CacheStats`].
 ///
 /// A store is the shared half of an evaluation session: any number of
 /// [`SweepExecutor`]s (or [`Evaluator`] facades built with
 /// [`EvaluatorBuilder::store`]) can consume one store concurrently — this
 /// is what lets the evaluation server run N requests in flight against one
-/// cache. The entry map is split into [`shard_count`](Self::shard_count)
-/// shards, each owning a contiguous range of the `u64` fingerprint space
-/// behind its own `RwLock` (default one shard per hardware thread), so
-/// concurrent sweeps over distinct workloads take distinct locks. Lookups
-/// take one shard's read lock only; Algorithm 2 itself runs with **no**
-/// store lock held, so a slow analysis never blocks hits on other
-/// programs.
+/// cache. Lookups take the read lock only, and a sweep looks each workload
+/// up once, not once per cell; Algorithm 2 itself runs with **no** store
+/// lock held, so a slow analysis never blocks hits on other programs.
+#[derive(Default)]
 pub struct AnalysisStore {
-    shards: Box<[StoreShard]>,
+    entries: RwLock<HashMap<u64, StoreEntry>>,
+    in_flight: Mutex<HashMap<u64, Arc<InFlight>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     lints: RwLock<HashMap<u64, Arc<StaticReport>>>,
     observer: RwLock<Option<InsertObserver>>,
-}
-
-impl Default for AnalysisStore {
-    fn default() -> Self {
-        Self::with_shards(default_shard_count())
-    }
-}
-
-/// Default shard count: one per hardware thread (`available_parallelism`),
-/// the maximum number of sweeps that can contend at once.
-fn default_shard_count() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 enum Role<'a> {
@@ -310,36 +275,17 @@ enum Role<'a> {
 }
 
 impl AnalysisStore {
-    /// An empty store with the default shard count (one per hardware
-    /// thread).
+    /// An empty store.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty store split into `shards` fingerprint-range shards
-    /// (clamped to at least one). Shard `i` owns the `i`-th contiguous
-    /// slice of the `u64` fingerprint space.
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
-        AnalysisStore {
-            shards: (0..shards).map(|_| StoreShard::default()).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            lints: RwLock::new(HashMap::new()),
-            observer: RwLock::new(None),
-        }
+    fn read_entries(&self) -> RwLockReadGuard<'_, HashMap<u64, StoreEntry>> {
+        self.entries.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// How many fingerprint-range shards this store is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard owns `fingerprint`: a range partition of the `u64`
-    /// space, so shard `i` of `n` owns `[i·2⁶⁴/n, (i+1)·2⁶⁴/n)`.
-    pub fn shard_of(&self, fingerprint: u64) -> usize {
-        let n = self.shards.len() as u128;
-        ((u128::from(fingerprint) * n) >> 64) as usize
+    fn write_entries(&self) -> RwLockWriteGuard<'_, HashMap<u64, StoreEntry>> {
+        self.entries.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Installs (or clears, with `None`) the fresh-analysis observer. The
@@ -365,7 +311,7 @@ impl AnalysisStore {
 
     /// Number of distinct programs currently held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read_entries().len()).sum()
+        self.read_entries().len()
     }
 
     /// True if no program has been analyzed or absorbed yet.
@@ -373,13 +319,8 @@ impl AnalysisStore {
         self.len() == 0
     }
 
-    fn shard(&self, key: u64) -> &StoreShard {
-        &self.shards[self.shard_of(key)]
-    }
-
     fn lookup(&self, key: u64) -> Option<(Arc<AnalysisBundle>, Duration)> {
-        self.shard(key)
-            .read_entries()
+        self.read_entries()
             .get(&key)
             .map(|e| (Arc::clone(&e.bundle), e.elapsed))
     }
@@ -430,12 +371,11 @@ impl AnalysisStore {
                     },
                 ));
             }
-            let shard = self.shard(key);
             let role = {
-                let mut in_flight = lock(&shard.in_flight);
+                let mut in_flight = lock(&self.in_flight);
                 // Close the race where the analyzer finished (and dropped
                 // its guard) between our lookup above and this lock.
-                if shard.read_entries().contains_key(&key) {
+                if self.read_entries().contains_key(&key) {
                     continue;
                 }
                 match in_flight.entry(key) {
@@ -443,7 +383,11 @@ impl AnalysisStore {
                     Entry::Vacant(v) => {
                         let flight = Arc::new(InFlight::default());
                         v.insert(Arc::clone(&flight));
-                        Role::Analyzer(AnalyzerGuard { shard, key, flight })
+                        Role::Analyzer(AnalyzerGuard {
+                            store: self,
+                            key,
+                            flight,
+                        })
                     }
                 }
             };
@@ -463,7 +407,7 @@ impl AnalysisStore {
                     let start = Instant::now();
                     let analysis = Arc::new(Evaluator::analyze_once(program, step_limit)?);
                     let elapsed = start.elapsed();
-                    shard.write_entries().insert(
+                    self.write_entries().insert(
                         key,
                         StoreEntry {
                             bundle: Arc::clone(&analysis),
@@ -537,36 +481,12 @@ impl AnalysisStore {
     }
 
     /// Serializes the store's contents for a later warm-start. Entries are
-    /// ordered by fingerprint, so equal stores snapshot identically
-    /// regardless of shard count. Static lint reports are not snapshotted
-    /// — recomputing them is milliseconds, unlike Algorithm-2 profiling
-    /// runs.
+    /// ordered by fingerprint, so equal stores snapshot identically. Static
+    /// lint reports are not snapshotted — recomputing them is milliseconds,
+    /// unlike Algorithm-2 profiling runs.
     pub fn snapshot(&self) -> AnalysisSnapshot {
-        let mut out: Vec<SnapshotEntry> = Vec::with_capacity(self.len());
-        for shard in self.shards.iter() {
-            let entries = shard.read_entries();
-            out.extend(entries.iter().map(|(&fingerprint, e)| SnapshotEntry {
-                fingerprint,
-                elapsed: e.elapsed,
-                analysis: (*e.bundle).clone(),
-            }));
-        }
-        out.sort_by_key(|e| e.fingerprint);
-        AnalysisSnapshot { entries: out }
-    }
-
-    /// Serializes one fingerprint-range shard (see
-    /// [`shard_of`](Self::shard_of) for the range partition), ordered by
-    /// fingerprint — the unit two server processes exchange over the wire
-    /// to split a workload set (`shard-sync`). The union of all shard
-    /// snapshots equals [`snapshot`](Self::snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.shard_count()`.
-    pub fn snapshot_shard(&self, shard: usize) -> AnalysisSnapshot {
-        let entries = self.shards[shard].read_entries();
-        let mut out: Vec<SnapshotEntry> = entries
+        let mut out: Vec<SnapshotEntry> = self
+            .read_entries()
             .iter()
             .map(|(&fingerprint, e)| SnapshotEntry {
                 fingerprint,
@@ -579,17 +499,15 @@ impl AnalysisStore {
     }
 
     /// Loads a snapshot's analyses into the store, skipping fingerprints it
-    /// already holds; returns how many entries were absorbed. Entries are
-    /// routed to their fingerprint-range shard, so snapshots taken under
-    /// any shard count absorb correctly under any other. Warmed entries
+    /// already holds; returns how many entries were absorbed. Warmed entries
     /// count as cache hits on first use (they never re-run Algorithm 2),
     /// which is how a warm-started server's `Done.cache` reports them.
     /// Absorbed entries do not fire the insert observer — the journal only
     /// records analyses this process ran.
     pub fn absorb(&self, snapshot: AnalysisSnapshot) -> usize {
+        let mut entries = self.write_entries();
         let mut absorbed = 0;
         for entry in snapshot.entries {
-            let mut entries = self.shard(entry.fingerprint).write_entries();
             if let Entry::Vacant(v) = entries.entry(entry.fingerprint) {
                 v.insert(StoreEntry {
                     bundle: Arc::new(entry.analysis),
@@ -692,10 +610,8 @@ impl<'a> SweepExecutor<'a> {
     pub fn eval(&self, workload: &Workload, design: &DesignPoint) -> Result<EvalRecord, IsaError> {
         let (analysis, mut timing) =
             self.analysis_entry(&workload.kernel.program, workload.kernel.step_limit)?;
-        let mut cfg = design.config;
-        cfg.max_instructions = cfg.max_instructions.max(workload.kernel.step_limit);
         let start = Instant::now();
-        let outcome = Evaluator::simulate_program(&workload.kernel.program, Some(&analysis), &cfg)?;
+        let outcome = simulate_cell(workload, &analysis, &design.config)?;
         timing.simulate = start.elapsed();
         Ok(record_from(workload, design, outcome, timing))
     }
@@ -770,15 +686,26 @@ impl<'a> SweepExecutor<'a> {
             let w = &workloads[wi];
             let d = &designs[di];
             let (bundle, mut timing) = (&analyses[wi].0, analyses[wi].1);
-            let mut cfg = d.config;
-            cfg.max_instructions = cfg.max_instructions.max(w.kernel.step_limit);
             let start = Instant::now();
-            let outcome = Evaluator::simulate_program(&w.kernel.program, Some(bundle), &cfg)?;
+            let outcome = simulate_cell(w, bundle, &d.config)?;
             timing.simulate = start.elapsed();
             Ok(record_from(w, d, outcome, timing))
         };
         stream_jobs(&jobs, run_one, cancel, emit, self.threads)
     }
+}
+
+/// Simulates one workload cell: the design's instruction budget is raised
+/// to the workload's own step limit, then the program runs under its
+/// memoized analysis.
+pub(crate) fn simulate_cell(
+    workload: &Workload,
+    analysis: &AnalysisBundle,
+    config: &CpuConfig,
+) -> Result<SimOutcome, IsaError> {
+    let mut cfg = *config;
+    cfg.max_instructions = cfg.max_instructions.max(workload.kernel.step_limit);
+    Evaluator::simulate_program(&workload.kernel.program, Some(analysis), &cfg)
 }
 
 fn record_from(
@@ -1223,9 +1150,7 @@ impl Evaluator {
         config: &CpuConfig,
     ) -> Result<SimOutcome, IsaError> {
         let analysis = self.analysis(workload)?;
-        let mut cfg = *config;
-        cfg.max_instructions = cfg.max_instructions.max(workload.kernel.step_limit);
-        Self::simulate_program(&workload.kernel.program, Some(&analysis), &cfg)
+        simulate_cell(workload, &analysis, config)
     }
 
     /// Evaluates one workload at one design point, yielding a uniform
@@ -1611,67 +1536,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_partition_covers_the_fingerprint_space() {
-        let store = AnalysisStore::with_shards(5);
-        assert_eq!(store.shard_count(), 5);
-        assert_eq!(store.shard_of(0), 0);
-        assert_eq!(store.shard_of(u64::MAX), 4);
-        // The partition is monotone in the fingerprint and every range
-        // boundary i·2⁶⁴/5 starts shard i.
-        let mut prev = 0;
-        for i in 0..=1000u64 {
-            let fp = (u128::from(i) * (u128::from(u64::MAX) + 1) / 1000).min(u128::from(u64::MAX));
-            let shard = store.shard_of(fp as u64);
-            assert!(shard < 5);
-            assert!(shard >= prev, "shard_of must be monotone in fingerprint");
-            prev = shard;
-        }
-        for i in 0..5u128 {
-            let start = (i << 64).div_ceil(5);
-            assert_eq!(store.shard_of(start as u64), i as usize);
-            if i > 0 {
-                assert_eq!(store.shard_of((start - 1) as u64), (i - 1) as usize);
-            }
-        }
-        // Degenerate shard counts clamp to one shard.
-        assert_eq!(AnalysisStore::with_shards(0).shard_count(), 1);
-    }
-
-    #[test]
-    fn shard_snapshots_union_to_the_full_snapshot() {
-        let store = AnalysisStore::with_shards(4);
-        for w in [
-            suite::chacha20_workload(64),
-            suite::sha256_workload(96),
-            suite::des_workload(4),
-        ] {
-            store.entry(&w.kernel.program, w.kernel.step_limit).unwrap();
-        }
-        assert_eq!(store.len(), 3);
-        let full = store.snapshot();
-        let mut union: Vec<SnapshotEntry> = (0..store.shard_count())
-            .flat_map(|i| store.snapshot_shard(i).entries)
-            .collect();
-        union.sort_by_key(|e| e.fingerprint);
-        assert_eq!(union, full.entries);
-        // Every entry of shard i actually falls in shard i's range.
-        for i in 0..store.shard_count() {
-            for e in &store.snapshot_shard(i).entries {
-                assert_eq!(store.shard_of(e.fingerprint), i);
-            }
-        }
-        // Snapshots absorb correctly across differing shard counts.
-        let other = AnalysisStore::with_shards(1);
-        let absorbed: usize = (0..store.shard_count())
-            .map(|i| other.absorb(store.snapshot_shard(i)))
-            .sum();
-        assert_eq!(absorbed, 3);
-        assert_eq!(other.snapshot(), full);
-    }
-
-    #[test]
     fn insert_observer_fires_once_per_fresh_analysis() {
-        let store = AnalysisStore::with_shards(4);
+        let store = AnalysisStore::new();
         let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         store.set_insert_observer(Some(Arc::new(move |e: &SnapshotEntry| {

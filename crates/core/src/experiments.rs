@@ -12,7 +12,7 @@
 //!   [`Evaluator`] and delegates. Prefer the session form.
 //!
 //! Each driver takes the list of workloads to evaluate so that tests can use
-//! small inputs while the benches and the `full_evaluation` example use the
+//! small inputs while the `full_evaluation` example uses the
 //! paper-sized suite from [`cassandra_kernels::suite::full_suite`].
 
 use crate::eval::Evaluator;

@@ -188,9 +188,7 @@ pub fn simulate_workload(
     analysis: &AnalysisBundle,
     config: &CpuConfig,
 ) -> Result<SimOutcome, IsaError> {
-    let mut cfg = *config;
-    cfg.max_instructions = cfg.max_instructions.max(workload.kernel.step_limit);
-    simulate_program(&workload.kernel.program, Some(analysis), &cfg)
+    eval::simulate_cell(workload, analysis, config)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! Q4, the Table-2 security sweep, the §7.5 trace-generation timing, the
 //! static constant-time lint, the consolidation study and the Pareto
 //! frontier search), so
-//! examples, benches and the [`ExperimentRegistry::run_all`] entry point
+//! the examples and the [`ExperimentRegistry::run_all`] entry point
 //! enumerate the evaluation generically instead of hard-coding one driver
 //! per figure. Because all experiments share one [`Evaluator`] session, a
 //! full `run_all` analyzes each distinct program exactly once.

@@ -13,9 +13,9 @@
 //! per stream per turn). Each stream feeds the writer through its own
 //! bounded queue, so one sweep producing records faster than the wire
 //! drains them blocks **its own** worker, never the reader or the other
-//! streams. Cheap requests (`Ping`, `Submit`, `Cancel`, shard-sync,
-//! `Shutdown`, …) are answered inline on the reader thread, which is why a
-//! `Cancel` sent on the same connection stops a sweep ahead of it —
+//! streams. Cheap requests (`Ping`, `Submit`, `Cancel`, `Shutdown`, …)
+//! are answered inline on the reader thread, which is why a `Cancel`
+//! sent on the same connection stops a sweep ahead of it —
 //! whether that sweep is still streaming or still *queued* for a worker
 //! (tagged heavy requests register their cancel token at dispatch time,
 //! before entering the pool queue). Bare (un-enveloped v1) requests have
@@ -478,8 +478,6 @@ fn runs_inline(request: &Request) -> bool {
             | Request::ListWorkloads
             | Request::Submit { .. }
             | Request::Cancel { .. }
-            | Request::SnapshotShard { .. }
-            | Request::AbsorbSnapshot { .. }
             | Request::Shutdown
     )
 }

@@ -215,12 +215,29 @@ impl CacheJournal {
         self.compact_locked(&mut state, store)
     }
 
+    /// Writes the snapshot to `<path>.tmp`, syncs it, then renames it over
+    /// the journal, so a kill at any point leaves either the old journal or
+    /// the new one on disk — never a half-written file. Replay reads only
+    /// the journal itself, so a `.tmp` left by such a kill is ignored (and
+    /// overwritten by the next compaction).
     fn compact_locked(&self, state: &mut JournalState, store: &AnalysisStore) -> io::Result<usize> {
         let snapshot = store.snapshot();
         let entries = snapshot.entries.len();
         let mut text = serde_json::to_string(&snapshot).expect("vendored serde_json is infallible");
         text.push('\n');
-        std::fs::write(&self.path, text)?;
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let replaced = File::create(&tmp)
+            .and_then(|mut file| {
+                file.write_all(text.as_bytes())?;
+                file.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, &self.path));
+        if let Err(e) = replaced {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
         state.file = None;
         state.appended = 0;
         Ok(entries)
@@ -568,37 +585,6 @@ impl EvalService {
                     Err(message) => sink(Response::Error { message }),
                 }
             }
-            Request::SnapshotShard { shard } => {
-                let shards = self.store.shard_count();
-                if shard >= shards {
-                    sink(Response::Error {
-                        message: format!(
-                            "shard {shard} out of range; this store has {shards} shard(s)"
-                        ),
-                    })
-                } else {
-                    sink(Response::ShardSnapshot {
-                        shard,
-                        shards,
-                        snapshot: self.store.snapshot_shard(shard),
-                    })
-                }
-            }
-            Request::AbsorbSnapshot { snapshot } => {
-                let received = snapshot.entries.len();
-                let absorbed = self.store.absorb(snapshot);
-                // Absorbed analyses don't fire the journal's insert
-                // observer (they weren't run here), so persist them by
-                // compacting — the compacted snapshot is the whole store.
-                if absorbed > 0 {
-                    if let Some(journal) = &self.journal {
-                        if let Err(e) = journal.compact(&self.store) {
-                            eprintln!("cassandra-server: absorbed snapshot not journaled: {e}");
-                        }
-                    }
-                }
-                sink(Response::Absorbed { received, absorbed })
-            }
             Request::Cancel { id: target } => {
                 let token = lock(&self.cancels).get(&target).cloned();
                 match token {
@@ -880,6 +866,20 @@ fn resolve_spec(spec: &WorkloadSpec) -> Result<Workload, String> {
                     "kernel size {size} exceeds the limit of {MAX_KERNEL_SIZE}"
                 ));
             }
+            // The block-cipher and MAC builders assert whole blocks; reject
+            // other sizes here, so a bad Submit gets an `Error` instead of
+            // panicking the connection's reader thread.
+            let block = match family.as_str() {
+                "chacha20" => 64,
+                "aes128" | "aes" | "poly1305" => 16,
+                _ => 1,
+            };
+            if block > 1 && (*size == 0 || !size.is_multiple_of(block)) {
+                return Err(format!(
+                    "kernel `{family}` needs a size that is a positive multiple of {block}, \
+                     got {size}"
+                ));
+            }
             let size = (*size as usize).max(1);
             let mut workload = match family.as_str() {
                 "chacha20" => suite::chacha20_workload(size),
@@ -1109,6 +1109,34 @@ mod tests {
             matches!(&responses[0], Response::Error { message } if message.contains("limit")),
             "{responses:?}"
         );
+        assert!(service.workload_names().is_empty());
+    }
+
+    #[test]
+    fn kernel_sizes_the_builders_reject_are_an_error() {
+        let service = EvalService::new();
+        for (family, size) in [
+            ("chacha20", 17),
+            ("chacha20", 0),
+            ("aes128", 24),
+            ("aes", 0),
+            ("poly1305", 65),
+        ] {
+            let responses = collect(
+                &service,
+                Request::Submit {
+                    spec: WorkloadSpec::Kernel {
+                        family: family.to_string(),
+                        size,
+                        name: None,
+                    },
+                },
+            );
+            assert!(
+                matches!(&responses[..], [Response::Error { message }] if message.contains("multiple of")),
+                "{family} {size}: {responses:?}"
+            );
+        }
         assert!(service.workload_names().is_empty());
     }
 

@@ -2,6 +2,8 @@
 //! appended to `--cache-file` as they happen, so an *aborted* server (no
 //! clean `Shutdown`) still restarts warm; a corrupt journal tail keeps the
 //! valid prefix, and a garbage-only journal boots cold without panicking.
+//! Compaction replaces the journal through a `<path>.tmp` rename, so it
+//! leaves no temporary file behind and a stale one never affects replay.
 
 use cassandra_server::{serve, Client, EvalService, Request, Response, WorkloadSpec};
 use std::io::Write;
@@ -242,5 +244,62 @@ fn garbage_journal_boots_cold_without_panicking() {
     // The service still works (and journals fresh analyses) on top of it.
     let (_, misses) = lifetime(&path, false);
     assert_eq!(misses, 2, "cold start after a garbage journal");
+    let _ = std::fs::remove_file(&path);
+}
+
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.to_path_buf().into_os_string();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
+}
+
+/// Compaction writes `<path>.tmp` and renames it over the journal: after a
+/// clean `Shutdown` the journal is one snapshot line and no `.tmp` remains.
+#[test]
+fn compaction_leaves_no_tmp_file_behind() {
+    let path = journal_path("no-tmp");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(tmp_path(&path));
+
+    lifetime(&path, true);
+    let journal = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(journal.lines().count(), 1, "compacted:\n{journal}");
+    assert!(
+        !tmp_path(&path).exists(),
+        "compaction must rename its temporary file over the journal"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A kill during compaction can leave a partial `<path>.tmp` next to an
+/// intact journal. Replay reads only the journal, so the stale file
+/// changes nothing: the restart is warm, and the next compaction replaces
+/// the stale file and removes it.
+#[test]
+fn stale_tmp_file_does_not_affect_replay() {
+    let path = journal_path("stale-tmp");
+    let _ = std::fs::remove_file(&path);
+
+    let (_, misses) = lifetime(&path, false);
+    assert_eq!(misses, 2);
+    let journal = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(tmp_path(&path), "{\"entries\":[{\"fingerprint\":1").unwrap();
+
+    let service = EvalService::new().with_cache_file(&path);
+    assert_eq!(service.store().len(), 2, "replay ignores the stale .tmp");
+    drop(service);
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        journal,
+        "replaying a valid journal leaves it untouched"
+    );
+
+    let (hits, misses) = lifetime(&path, true);
+    assert_eq!(misses, 0, "the journal warm-starts despite the stale .tmp");
+    assert_eq!(hits, 2);
+    assert!(
+        !tmp_path(&path).exists(),
+        "compaction replaced the stale .tmp"
+    );
     let _ = std::fs::remove_file(&path);
 }

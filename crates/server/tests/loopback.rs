@@ -339,6 +339,37 @@ fn malformed_requests_get_an_error_envelope_and_the_connection_survives() {
     );
 }
 
+/// A kernel size the builder would assert on is an `Error` reply, not a
+/// panic on the reader thread: the same connection keeps answering. The
+/// exchange runs on a helper thread so a regression fails instead of
+/// hanging on a dead connection.
+#[test]
+fn bad_kernel_size_submit_is_an_error_and_the_connection_survives() {
+    let (_handle, mut client) = start();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let bad = client.request_raw(
+            "{\"Submit\":{\"spec\":{\"Kernel\":{\"family\":\"chacha20\",\"size\":17,\"name\":null}}}}",
+        );
+        let pong = client.request(&Request::Ping);
+        let _ = tx.send((bad, pong));
+    });
+    let (bad, pong) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the connection stopped answering after a bad Submit");
+    let bad = bad.unwrap();
+    assert!(
+        matches!(&bad[..], [Response::Error { message }] if message.contains("multiple of 64")),
+        "{bad:?}"
+    );
+    assert_eq!(
+        pong.unwrap(),
+        [Response::Pong {
+            protocol: PROTOCOL_VERSION
+        }]
+    );
+}
+
 #[test]
 fn two_clients_share_one_session() {
     let (handle, mut first) = start();
@@ -482,93 +513,6 @@ fn consolidation_experiment_runs_over_the_wire() {
     assert_eq!(report, &cassandra_core::report::render_text(output));
     assert!(report.contains("Policy flush"));
     assert!(report.contains("HitRate"));
-}
-
-/// Two server processes split a workload set by exchanging shard
-/// snapshots over the wire: every shard of a warmed server absorbed into
-/// a cold one makes the cold server's sweep pure cache hits.
-#[test]
-fn shard_snapshots_round_trip_between_two_servers() {
-    let (_warm_handle, mut warm) = start();
-    submit_quick_pair(&mut warm);
-    let sweep = Request::Sweep {
-        workloads: Vec::new(),
-        policies: vec!["Cassandra".to_string()],
-    };
-    let (_, summary) = split_stream(warm.request(&sweep).unwrap());
-    assert_eq!(summary.cache.misses, 2, "warm server analyzes once");
-
-    let (_cold_handle, mut cold) = start();
-    submit_quick_pair(&mut cold);
-
-    // Walk every shard of the warm server and absorb it into the cold one.
-    // The shard count comes from the first response, so the client needs
-    // no out-of-band knowledge of the server's sharding.
-    let mut shard = 0;
-    let mut shards = 1;
-    let mut transferred = 0usize;
-    let mut absorbed_total = 0usize;
-    while shard < shards {
-        let responses = warm.request(&Request::SnapshotShard { shard }).unwrap();
-        let [Response::ShardSnapshot {
-            shard: echoed,
-            shards: total,
-            snapshot,
-        }] = responses.as_slice()
-        else {
-            panic!("expected ShardSnapshot, got {responses:?}");
-        };
-        assert_eq!(*echoed, shard);
-        shards = *total;
-        transferred += snapshot.entries.len();
-        let responses = cold
-            .request(&Request::AbsorbSnapshot {
-                snapshot: snapshot.clone(),
-            })
-            .unwrap();
-        let [Response::Absorbed { received, absorbed }] = responses.as_slice() else {
-            panic!("expected Absorbed, got {responses:?}");
-        };
-        assert_eq!(*received, snapshot.entries.len());
-        assert_eq!(*absorbed, *received, "the cold store had none of these");
-        absorbed_total += absorbed;
-        shard += 1;
-    }
-    assert_eq!(transferred, 2, "both analyses travelled");
-    assert_eq!(absorbed_total, 2);
-
-    // The cold server now serves the same sweep without analyzing.
-    let (records, summary) = split_stream(cold.request(&sweep).unwrap());
-    assert_eq!(
-        summary.cache.misses, 0,
-        "absorbed shards: {:?}",
-        summary.cache
-    );
-    assert!(records.iter().all(|r| r.timing.analysis_cached));
-
-    // Re-absorbing is idempotent, and out-of-range shards are an error,
-    // not a panic.
-    let responses = cold.request(&Request::SnapshotShard { shard: 0 }).unwrap();
-    let [Response::ShardSnapshot { snapshot, .. }] = responses.as_slice() else {
-        panic!("expected ShardSnapshot, got {responses:?}");
-    };
-    let responses = warm
-        .request(&Request::AbsorbSnapshot {
-            snapshot: snapshot.clone(),
-        })
-        .unwrap();
-    let [Response::Absorbed { absorbed, .. }] = responses.as_slice() else {
-        panic!("expected Absorbed, got {responses:?}");
-    };
-    assert_eq!(*absorbed, 0, "the warm server already has every entry");
-
-    let responses = warm
-        .request(&Request::SnapshotShard { shard: shards })
-        .unwrap();
-    assert!(
-        matches!(&responses[0], Response::Error { message } if message.contains("out of range")),
-        "{responses:?}"
-    );
 }
 
 #[test]

@@ -50,5 +50,5 @@ pub use protocol::{
     GridSpec, Request, RequestEnvelope, Response, ResponseEnvelope, SweepSummary, WorkloadSpec,
     PROTOCOL_VERSION,
 };
-pub use server::{default_worker_threads, serve, ServerHandle};
+pub use server::{default_worker_threads, serve, ServerHandle, MAX_REQUEST_LINE_BYTES};
 pub use service::EvalService;

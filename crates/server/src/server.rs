@@ -33,7 +33,7 @@
 use crate::protocol::{self, Request, Response, ResponseEnvelope};
 use crate::service::EvalService;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -60,6 +60,12 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 /// this many lines blocks its own sweep (backpressure), not the
 /// connection.
 const STREAM_QUEUE_CAP: usize = 64;
+
+/// Largest request line the server accepts, in bytes before its newline
+/// (1 MiB). Every request in the protocol fits in a few KiB; a longer line
+/// gets one `Error` reply and the connection is closed, so a client that
+/// never sends a newline cannot grow the read buffer without limit.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 
 /// Upper bound on bytes coalesced into one socket write by the writer
 /// thread. Batching amortizes syscalls under load without letting one
@@ -522,12 +528,25 @@ fn handle_connection(
     };
 
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     let result = loop {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap, counting any partial line
+        // kept from earlier polls.
+        let budget = (MAX_REQUEST_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) => break Ok(()), // EOF: client hung up.
+            Ok(_) if line.len() > MAX_REQUEST_LINE_BYTES && line.last() != Some(&b'\n') => {
+                let message = format!(
+                    "invalid request: line exceeds {MAX_REQUEST_LINE_BYTES} bytes; closing connection"
+                );
+                let handle = mux.open_stream();
+                break handle.push(encode_frame(None, Response::Error { message }));
+            }
             Ok(_) => {
-                let taken = std::mem::take(&mut line);
+                let taken = match String::from_utf8(std::mem::take(&mut line)) {
+                    Ok(taken) => taken,
+                    Err(e) => break Err(io::Error::new(io::ErrorKind::InvalidData, e)),
+                };
                 let trimmed = taken.trim();
                 if !trimmed.is_empty() {
                     if let Err(e) = serve_line(trimmed, service, shutdown, pool, &mux) {

@@ -5,8 +5,10 @@ use cassandra_core::eval::{EvalRecord, Evaluator};
 use cassandra_kernels::suite;
 use cassandra_server::{
     serve, Client, EvalService, GridSpec, Request, Response, SweepSummary, WorkloadSpec,
-    PROTOCOL_VERSION,
+    MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
 };
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn start() -> (cassandra_server::ServerHandle, Client) {
@@ -368,6 +370,47 @@ fn bad_kernel_size_submit_is_an_error_and_the_connection_survives() {
             protocol: PROTOCOL_VERSION
         }]
     );
+}
+
+/// A line that outgrows `MAX_REQUEST_LINE_BYTES` without a newline gets
+/// one `Error` line and then EOF, instead of buffering without bound; the
+/// server keeps accepting connections. The client sends exactly one byte
+/// past the cap, so the server has read everything when it closes and the
+/// close is a clean EOF. The read timeout turns a server that keeps
+/// buffering into a failure rather than a hang.
+#[test]
+fn oversized_request_line_gets_one_error_then_eof() {
+    let (handle, mut client) = start();
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    raw.write_all(&vec![b'x'; MAX_REQUEST_LINE_BYTES + 1])
+        .unwrap();
+    let mut reader = BufReader::new(raw);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("the server never answered the oversized line");
+    let response: Response = serde_json::from_str(line.trim()).unwrap();
+    assert!(
+        matches!(&response, Response::Error { message } if message.contains("exceeds")),
+        "{response:?}"
+    );
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).expect("connection left open"),
+        0,
+        "expected EOF, got {line:?}"
+    );
+
+    let mut fresh = Client::connect(handle.addr()).unwrap();
+    for client in [&mut fresh, &mut client] {
+        assert_eq!(
+            client.request(&Request::Ping).unwrap(),
+            [Response::Pong {
+                protocol: PROTOCOL_VERSION
+            }]
+        );
+    }
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! The successive-halving differential harness: on the quick workload
 //! suite, `AdaptiveSearch` must report a frontier **identical** to the
 //! exhaustive `FrontierResult` while simulating strictly fewer full-suite
-//! cells, and a repeat adaptive run must be served entirely from the
-//! session's `AnalysisStore` (zero new cache misses).
+//! cells and fewer simulations in total, and a repeat adaptive run must be
+//! served entirely from the session's `AnalysisStore` (zero new cache
+//! misses).
 
 mod common;
 
@@ -15,21 +16,27 @@ fn adaptive_frontier_matches_exhaustive_with_fewer_full_suite_cells() {
     let mut ev = Evaluator::new();
     let cancel = CancelToken::new();
 
-    let exhaustive = frontier_with(&mut ev, &workloads, &standard_grid(), None, &cancel, |_| {})
-        .expect("exhaustive run")
-        .expect("not cancelled");
+    // Every completed simulation (baseline runs included) reports one
+    // progress line, so counting callbacks counts simulations.
+    let mut exhaustive_sims = 0usize;
+    let exhaustive = frontier_with(&mut ev, &workloads, &standard_grid(), None, &cancel, |_| {
+        exhaustive_sims += 1;
+    })
+    .expect("exhaustive run")
+    .expect("not cancelled");
     assert_eq!(
         exhaustive.cells_simulated_full, exhaustive.cells_total,
         "the exhaustive search scores every cell on the full suite"
     );
 
+    let mut adaptive_sims = 0usize;
     let adaptive = frontier_with(
         &mut ev,
         &workloads,
         &standard_grid(),
         Some(AdaptiveSearch::default()),
         &cancel,
-        |_| {},
+        |_| adaptive_sims += 1,
     )
     .expect("adaptive run")
     .expect("not cancelled");
@@ -50,6 +57,10 @@ fn adaptive_frontier_matches_exhaustive_with_fewer_full_suite_cells() {
         "successive halving saved no full-suite cells ({} vs {})",
         adaptive.cells_simulated_full,
         exhaustive.cells_simulated_full
+    );
+    assert!(
+        adaptive_sims < exhaustive_sims,
+        "successive halving saved no simulations ({adaptive_sims} vs {exhaustive_sims})"
     );
     assert_eq!(adaptive.rungs.len(), 2, "smoke rung + survivor rung");
     assert!(

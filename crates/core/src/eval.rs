@@ -3,9 +3,8 @@
 //!
 //! The paper's evaluation runs one trace-generation pass (Algorithm 2) per
 //! workload and then simulates that workload under many defense designs.
-//! The free functions in the crate root re-derive the analysis on every
-//! call; this module instead memoizes each [`AnalysisBundle`] keyed by the
-//! program's content fingerprint
+//! This module memoizes each [`AnalysisBundle`] keyed by the program's
+//! content fingerprint
 //! ([`cassandra_trace::fingerprint::program_fingerprint`]), so a full
 //! multi-experiment evaluation analyzes every distinct program **exactly
 //! once** no matter how many design points, experiments or concurrent
@@ -1014,9 +1013,8 @@ impl Default for Evaluator {
 }
 
 impl Evaluator {
-    /// An empty session (no preconfigured workloads or designs); useful for
-    /// one-shot evaluation and as the delegate of the deprecated-path free
-    /// functions in the crate root.
+    /// An empty session (no preconfigured workloads or designs); a fresh one
+    /// serves a one-off run of any `*_with` driver.
     pub fn new() -> Self {
         EvaluatorBuilder::default().build()
     }
@@ -1069,7 +1067,7 @@ impl Evaluator {
     // ------------------------------------------------------------ analysis
 
     /// Runs Algorithm 2 once, without touching any session cache — the
-    /// one-shot primitive behind [`crate::analyze_program`].
+    /// primitive the [`AnalysisStore`] calls on a miss.
     ///
     /// # Errors
     ///
@@ -1119,8 +1117,7 @@ impl Evaluator {
     // ---------------------------------------------------------- simulation
 
     /// Simulates `program` under `config` with a caller-provided analysis;
-    /// the primitive behind both the session methods and the deprecated-path
-    /// free functions ([`crate::simulate_program`]).
+    /// the primitive behind the session's simulation methods.
     ///
     /// # Errors
     ///
@@ -1266,8 +1263,8 @@ mod tests {
         let mut ev = Evaluator::new();
         let record = ev.eval(&w, &design).unwrap();
 
-        let analysis = crate::analyze_workload(&w).unwrap();
-        let outcome = crate::simulate_workload(&w, &analysis, &design.config).unwrap();
+        let analysis = Evaluator::analyze_once(&w.kernel.program, w.kernel.step_limit).unwrap();
+        let outcome = simulate_cell(&w, &analysis, &design.config).unwrap();
         assert_eq!(record.stats, outcome.stats);
     }
 

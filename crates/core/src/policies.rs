@@ -271,17 +271,18 @@ impl GridSweep {
         self
     }
 
-    /// Number of grid cells (before same-label collapsing).
+    /// Number of grid cells (before same-label collapsing), saturating at
+    /// `usize::MAX` so a hostile spec cannot overflow the count.
     pub fn len(&self) -> usize {
-        fn axis(len: usize) -> usize {
-            len.max(1)
-        }
-        self.defenses.len()
-            * axis(self.tournament_thresholds.len())
-            * axis(self.btu_partitions.len())
-            * axis(self.btu_entries.len())
-            * axis(self.miss_penalties.len())
-            * axis(self.redirect_penalties.len())
+        [
+            self.tournament_thresholds.len(),
+            self.btu_partitions.len(),
+            self.btu_entries.len(),
+            self.miss_penalties.len(),
+            self.redirect_penalties.len(),
+        ]
+        .into_iter()
+        .fold(self.defenses.len(), |n, axis| n.saturating_mul(axis.max(1)))
     }
 
     /// True if the grid has no base defense (and therefore expands to

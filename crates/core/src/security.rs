@@ -8,7 +8,6 @@
 //! access sequences.
 
 use crate::eval::Evaluator;
-use crate::{analyze_program, simulate_program, AnalysisBundle};
 use cassandra_cpu::config::{CpuConfig, DefenseMode};
 use cassandra_cpu::pipeline::SimOutcome;
 use cassandra_isa::error::IsaError;
@@ -47,25 +46,8 @@ impl LeakageObservation {
 const GADGET_STEP_LIMIT: u64 = 10_000_000;
 
 /// Runs a program under `config` and collects the attacker-visible traces.
-///
-/// # Errors
-///
-/// Propagates analysis or simulation errors.
-pub fn observe(program: &Program, config: &CpuConfig) -> Result<LeakageObservation, IsaError> {
-    let analysis: Option<AnalysisBundle> = if config.resolved_policy().frontend.uses_btu() {
-        Some(analyze_program(program, GADGET_STEP_LIMIT)?)
-    } else {
-        None
-    };
-    let outcome = simulate_program(program, analysis.as_ref(), config)?;
-    Ok(LeakageObservation {
-        contract: contract_trace(program, GADGET_STEP_LIMIT)?,
-        outcome,
-    })
-}
-
-/// [`observe`] through an evaluation session: the program's analysis is
-/// served from (and recorded in) the session cache.
+/// The program's analysis, when the design needs one, is served from (and
+/// recorded in) the session cache.
 ///
 /// # Errors
 ///
@@ -157,14 +139,15 @@ impl ScenarioVerdict {
 ///
 /// Propagates analysis or simulation errors.
 pub fn evaluate_scenario(
+    ev: &mut Evaluator,
     name: &str,
     build: impl Fn(u64) -> GadgetProgram,
     config: &CpuConfig,
 ) -> Result<ScenarioVerdict, IsaError> {
     let g0 = build(0x0000_0000_0000_0000);
     let g1 = build(0xffff_ffff_ffff_ffff);
-    let o0 = observe(&g0.program, config)?;
-    let o1 = observe(&g1.program, config)?;
+    let o0 = observe_with(ev, &g0.program, config)?;
+    let o1 = observe_with(ev, &g1.program, config)?;
     Ok(ScenarioVerdict::from_observations(name, &o0, &o1))
 }
 
@@ -176,12 +159,13 @@ pub fn evaluate_scenario(
 ///
 /// Propagates analysis or simulation errors.
 pub fn check_contract_satisfaction(
+    ev: &mut Evaluator,
     program_a: &Program,
     program_b: &Program,
     config: &CpuConfig,
 ) -> Result<bool, IsaError> {
-    let oa = observe(program_a, config)?;
-    let ob = observe(program_b, config)?;
+    let oa = observe_with(ev, program_a, config)?;
+    let ob = observe_with(ev, program_b, config)?;
     if oa.contract != ob.contract {
         // Different contract traces: the premise is vacuous.
         return Ok(true);
@@ -277,15 +261,6 @@ pub fn security_sweep_with(
     Ok(SecurityMatrix { cells })
 }
 
-/// [`security_sweep_with`] on a one-shot session (deprecated-path shim).
-///
-/// # Errors
-///
-/// Propagates analysis or simulation errors.
-pub fn security_sweep(designs: &[DefenseMode]) -> Result<SecurityMatrix, IsaError> {
-    security_sweep_with(&mut Evaluator::new(), designs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,6 +274,7 @@ mod tests {
     #[test]
     fn unsafe_baseline_leaks_the_crypto_register_gadget() {
         let verdict = evaluate_scenario(
+            &mut Evaluator::new(),
             "BR1->R1",
             |secret| scenario(BranchSite::Crypto, LeakGadget::CryptoRegister, secret),
             &cfg(DefenseMode::UnsafeBaseline),
@@ -321,6 +297,7 @@ mod tests {
     #[test]
     fn cassandra_blocks_the_crypto_register_gadget() {
         let verdict = evaluate_scenario(
+            &mut Evaluator::new(),
             "BR1->R1",
             |secret| scenario(BranchSite::Crypto, LeakGadget::CryptoRegister, secret),
             &cfg(DefenseMode::Cassandra),
@@ -339,6 +316,7 @@ mod tests {
     fn cassandra_blocks_the_non_crypto_branch_to_crypto_memory_gadget() {
         // Scenario 5: BR2 -> M1 is protected by the integrity check.
         let verdict = evaluate_scenario(
+            &mut Evaluator::new(),
             "BR2->M1",
             |secret| scenario(BranchSite::NonCrypto, LeakGadget::CryptoMemory, secret),
             &cfg(DefenseMode::Cassandra),
@@ -388,6 +366,7 @@ mod tests {
         let k_a = chacha20::build(&[0u8; 32], 1, &nonce, &msg);
         let k_b = chacha20::build(&[0xffu8; 32], 1, &nonce, &msg);
         assert!(check_contract_satisfaction(
+            &mut Evaluator::new(),
             &k_a.program,
             &k_b.program,
             &cfg(DefenseMode::Cassandra)
@@ -405,6 +384,7 @@ mod tests {
         let k_a = chacha20::build(&[1u8; 32], 1, &nonce, &msg);
         let k_b = chacha20::build(&[2u8; 32], 1, &nonce, &msg);
         assert!(check_contract_satisfaction(
+            &mut Evaluator::new(),
             &k_a.program,
             &k_b.program,
             &cfg(DefenseMode::UnsafeBaseline)

@@ -48,7 +48,7 @@ pub mod service;
 pub use client::Client;
 pub use protocol::{
     GridSpec, Request, RequestEnvelope, Response, ResponseEnvelope, SweepSummary, WorkloadSpec,
-    PROTOCOL_VERSION,
+    MAX_GRID_POINTS, PROTOCOL_VERSION,
 };
 pub use server::{default_worker_threads, serve, ServerHandle, MAX_REQUEST_LINE_BYTES};
 pub use service::EvalService;

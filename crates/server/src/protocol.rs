@@ -72,6 +72,11 @@ pub enum WorkloadSpec {
     },
 }
 
+/// The most design points one `GridSweep` may expand to (counted before
+/// same-label collapsing, so repeated defense labels count). A larger grid
+/// is rejected before anything is expanded or registered.
+pub const MAX_GRID_POINTS: usize = 4096;
+
 /// The wire form of a [`GridSweep`]: defense design points are named by
 /// label and every axis is listed explicitly (empty = keep the Table-3
 /// baseline value for that knob).
@@ -97,8 +102,8 @@ impl GridSpec {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for an empty defense list or an
-    /// unknown label.
+    /// Returns a human-readable message for an empty defense list, an
+    /// unknown label, or a grid of more than [`MAX_GRID_POINTS`] points.
     pub fn to_grid(&self) -> Result<GridSweep, String> {
         if self.defenses.is_empty() {
             return Err("GridSweep requires at least one defense label".to_string());
@@ -108,12 +113,19 @@ impl GridSpec {
             .iter()
             .map(|label| label.parse::<DefenseMode>().map_err(|e| e.to_string()))
             .collect::<Result<_, _>>()?;
-        Ok(GridSweep::over(defenses)
+        let grid = GridSweep::over(defenses)
             .tournament_thresholds(self.tournament_thresholds.iter().copied())
             .btu_partitions(self.btu_partitions.iter().copied())
             .btu_entries(self.btu_entries.iter().copied())
             .miss_penalties(self.miss_penalties.iter().copied())
-            .redirect_penalties(self.redirect_penalties.iter().copied()))
+            .redirect_penalties(self.redirect_penalties.iter().copied());
+        if grid.len() > MAX_GRID_POINTS {
+            return Err(format!(
+                "GridSweep has {} design points, more than the cap of {MAX_GRID_POINTS}",
+                grid.len()
+            ));
+        }
+        Ok(grid)
     }
 }
 
@@ -550,6 +562,43 @@ mod tests {
             ..empty
         };
         assert!(unknown.to_grid().unwrap_err().contains("NotADefense"));
+    }
+
+    #[test]
+    fn grid_spec_rejects_a_grid_over_the_point_cap() {
+        // Six axes of 2 000 values: the product overflows `usize`, yet the
+        // request fits well inside the line cap.
+        let axis = |n: u64| (0..n).collect::<Vec<u64>>();
+        let huge = GridSpec {
+            defenses: vec!["Cassandra".to_string(); 2_000],
+            tournament_thresholds: (0..2_000).collect(),
+            btu_partitions: (0..2_000).collect(),
+            btu_entries: (0..2_000).collect(),
+            miss_penalties: axis(2_000),
+            redirect_penalties: axis(2_000),
+        };
+        let err = huge.to_grid().unwrap_err();
+        assert!(err.contains(&MAX_GRID_POINTS.to_string()), "{err}");
+        assert!(
+            err.contains(&usize::MAX.to_string()),
+            "the count saturates: {err}"
+        );
+
+        // One point over the cap is rejected; exactly at the cap is not.
+        let at_cap = GridSpec {
+            defenses: vec!["Cassandra".to_string()],
+            tournament_thresholds: Vec::new(),
+            btu_partitions: Vec::new(),
+            btu_entries: Vec::new(),
+            miss_penalties: axis(64),
+            redirect_penalties: axis(64),
+        };
+        assert_eq!(at_cap.to_grid().unwrap().len(), MAX_GRID_POINTS);
+        let over = GridSpec {
+            defenses: vec!["Cassandra".to_string(); 2],
+            ..at_cap
+        };
+        assert!(over.to_grid().is_err());
     }
 
     #[test]

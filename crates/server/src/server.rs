@@ -31,7 +31,7 @@
 //! threads.
 
 use crate::protocol::{self, Request, Response, ResponseEnvelope};
-use crate::service::EvalService;
+use crate::service::{EvalService, Reservation};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -604,56 +604,49 @@ fn serve_line(
                 }
                 return Ok(());
             }
-            let Some(id) = id else {
-                // Bare (v1) heavy request: no id to demultiplex response
-                // lines by, so the reader waits for its terminal line
-                // before decoding the next request — the v1 lockstep
-                // contract — but the work itself still runs on the pool,
-                // so `--threads` bounds concurrent simulations for v1
-                // clients too.
-                let handle = mux.open_stream();
-                let service = Arc::clone(service);
-                let (done_tx, done_rx) = mpsc::channel();
-                let job: Job = Box::new(move || {
-                    let mut sink = |response: Response| handle.push(encode_frame(None, response));
-                    let _ = done_tx.send(service.handle(request, &mut sink));
-                });
-                if let Err(job) = pool.submit(job) {
-                    // Shutdown raced the dispatch: serve the request
-                    // inline rather than dropping it on the floor.
-                    job();
-                }
-                // The pool runs queued jobs to completion even during
-                // shutdown, so the result always arrives; a disconnect
-                // means the job panicked (logged by its worker).
-                return done_rx.recv().unwrap_or(Ok(()));
-            };
-            // Tagged heavy request: reserve the id *before* the request
-            // enters the pool queue, so a `Cancel` racing the queue
-            // already finds the token — the job then starts pre-cancelled
-            // and terminates with `Cancelled` without simulating.
+            // Heavy request: one dispatch path for both framings, always
+            // through the pool so `--threads` bounds every simulation. A
+            // tagged request reserves its id *before* it enters the pool
+            // queue, so a `Cancel` racing the queue already finds the token
+            // — the job then starts pre-cancelled and terminates with
+            // `Cancelled` without simulating. A bare (v1) request has no id
+            // to demultiplex response lines by, so the reader waits for it
+            // to finish before decoding the next request: the v1 lockstep
+            // contract.
             let handle = mux.open_stream();
-            let reservation = match service.reserve(&id) {
+            let reservation = match id.as_deref().map(|id| service.reserve(id)).transpose() {
                 Ok(reservation) => reservation,
                 Err(message) => {
-                    return handle.push(encode_frame(Some(&id), Response::Error { message }))
+                    return handle.push(encode_frame(id.as_deref(), Response::Error { message }))
                 }
             };
+            let bare = reservation.is_none();
             let service = Arc::clone(service);
+            let (done_tx, done_rx) = mpsc::channel();
             let job: Job = Box::new(move || {
-                let mut sink = |response: Response| {
-                    handle.push(encode_frame(Some(reservation.id()), response))
+                let id = reservation.as_ref().map(Reservation::id);
+                let mut sink = |response: Response| handle.push(encode_frame(id, response));
+                let result = match &reservation {
+                    Some(reservation) => service.handle_reserved(reservation, request, &mut sink),
+                    None => service.handle(request, &mut sink),
                 };
-                // Sink errors mean the client is gone; the stream closes
-                // (handle drops) and there is nobody to report to.
-                let _ = service.handle_reserved(&reservation, request, &mut sink);
+                // Nobody listens for a tagged request's result: a sink
+                // error there means its client is gone.
+                let _ = done_tx.send(result);
             });
             if let Err(job) = pool.submit(job) {
                 // Shutdown raced the dispatch: serve the request inline
                 // rather than dropping it on the floor.
                 job();
             }
-            Ok(())
+            if bare {
+                // The pool runs queued jobs to completion even during
+                // shutdown, so the result always arrives; a disconnect
+                // means the job panicked (logged by its worker).
+                done_rx.recv().unwrap_or(Ok(()))
+            } else {
+                Ok(())
+            }
         }
         Err(e) => {
             let handle = mux.open_stream();

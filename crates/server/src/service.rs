@@ -1169,6 +1169,42 @@ mod tests {
     }
 
     #[test]
+    fn over_cap_grid_sweep_is_one_error_and_registers_nothing() {
+        let service = EvalService::new();
+        collect(
+            &service,
+            Request::Submit {
+                spec: WorkloadSpec::Kernel {
+                    family: "des".to_string(),
+                    size: 4,
+                    name: None,
+                },
+            },
+        );
+        let before = collect(&service, Request::ListPolicies);
+        let responses = collect(
+            &service,
+            Request::GridSweep {
+                workloads: Vec::new(),
+                grid: GridSpec {
+                    defenses: vec!["Cassandra".to_string()],
+                    tournament_thresholds: Vec::new(),
+                    btu_partitions: Vec::new(),
+                    btu_entries: (1..=64).collect(),
+                    miss_penalties: (1..=64).collect(),
+                    redirect_penalties: vec![6, 12],
+                },
+            },
+        );
+        assert!(
+            matches!(responses.as_slice(), [Response::Error { message }]
+                if message.contains(&crate::MAX_GRID_POINTS.to_string())),
+            "{responses:?}"
+        );
+        assert_eq!(collect(&service, Request::ListPolicies), before);
+    }
+
+    #[test]
     fn grid_sweep_registers_its_expansion() {
         let service = EvalService::new();
         collect(

@@ -135,6 +135,7 @@ pub fn verdict(
 ) -> cassandra::core::security::ScenarioVerdict {
     let cfg = CpuConfig::golden_cove_like().with_defense(defense);
     cassandra::core::security::evaluate_scenario(
+        &mut Evaluator::new(),
         &format!("{site:?}->{gadget:?}"),
         |secret| scenario(site, gadget, secret),
         &cfg,

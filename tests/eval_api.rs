@@ -1,5 +1,5 @@
 //! Integration tests for the evaluation session API: analysis caching,
-//! registry/legacy parity, and JSON round-trips.
+//! shared-session/fresh-session parity, and JSON round-trips.
 
 mod common;
 
@@ -43,10 +43,11 @@ fn full_registry_run_analyzes_each_program_exactly_once() {
     assert_eq!(session.cache_stats().misses, stats.misses);
 }
 
-/// The registry path must reproduce the legacy free-function drivers
-/// bit-for-bit (same structs, same floats) on a small suite.
+/// The registry path on one shared session must reproduce each `*_with`
+/// driver run on its own fresh session bit-for-bit (same structs, same
+/// floats) on a small suite: sharing the analysis cache changes nothing.
 #[test]
-fn registry_outputs_match_legacy_free_functions() {
+fn registry_outputs_match_fresh_session_drivers() {
     let workloads = quick_workloads();
     let mut session = Evaluator::builder().workloads(workloads.clone()).build();
     let mut registry = ExperimentRegistry::standard();
@@ -63,43 +64,54 @@ fn registry_outputs_match_legacy_free_functions() {
             .output
             .clone()
     };
+    let fresh = Evaluator::new;
 
     assert_eq!(
         by_name("table1"),
-        ExperimentOutput::Table1(experiments::table1(&workloads).unwrap())
+        ExperimentOutput::Table1(experiments::table1_with(&mut fresh(), &workloads).unwrap())
     );
     assert_eq!(
         by_name("fig7"),
-        ExperimentOutput::Fig7(experiments::figure7(&workloads, &FIG7_DESIGNS).unwrap())
+        ExperimentOutput::Fig7(
+            experiments::figure7_with(&mut fresh(), &workloads, &FIG7_DESIGNS).unwrap()
+        )
     );
     assert_eq!(
         by_name("fig8"),
-        ExperimentOutput::Fig8(experiments::figure8(2).unwrap())
+        ExperimentOutput::Fig8(experiments::figure8_with(&mut fresh(), 2).unwrap())
     );
     assert_eq!(
         by_name("fig9"),
-        ExperimentOutput::Fig9(experiments::figure9(&workloads).unwrap())
+        ExperimentOutput::Fig9(experiments::figure9_with(&mut fresh(), &workloads).unwrap())
     );
     assert_eq!(
         by_name("q3"),
-        ExperimentOutput::Q3(
-            experiments::q3_with(&mut Evaluator::new(), &workloads, &Q3_VARIANTS).unwrap()
-        )
+        ExperimentOutput::Q3(experiments::q3_with(&mut fresh(), &workloads, &Q3_VARIANTS).unwrap())
     );
     assert_eq!(
         by_name("q4"),
-        ExperimentOutput::Q4(experiments::q4_btu_flush(&workloads, 5_000).unwrap())
+        ExperimentOutput::Q4(
+            experiments::q4_with(
+                &mut fresh(),
+                &workloads,
+                5_000,
+                experiments::Q4_PARTITION_CONTEXTS
+            )
+            .unwrap()
+        )
     );
     // The registry's security default enumerates the full policy registry;
-    // the stateless driver reproduces it when handed the same design list.
+    // the driver reproduces it when handed the same design list.
     assert_eq!(
         by_name("security"),
         ExperimentOutput::Security(
-            security::security_sweep(&PolicyRegistry::standard().defenses()).unwrap()
+            security::security_sweep_with(&mut fresh(), &PolicyRegistry::standard().defenses())
+                .unwrap()
         )
     );
     // And the paper's two-design Table 2 is still a plain subset call.
-    let table2 = security::security_sweep(&security::SECURITY_SWEEP_DESIGNS).unwrap();
+    let table2 =
+        security::security_sweep_with(&mut fresh(), &security::SECURITY_SWEEP_DESIGNS).unwrap();
     assert_eq!(table2.cells.len(), 16);
 }
 
@@ -201,29 +213,36 @@ fn sweep_matches_committed_golden_records() {
     }
 }
 
-/// The deprecated-path free functions and the session produce identical
-/// simulation statistics.
+/// The uncached primitives (`Evaluator::analyze_once` +
+/// `Evaluator::simulate_program`) and the memoizing session produce
+/// identical simulation statistics and the same analysis.
 #[test]
-fn free_function_shims_match_the_session() {
+fn one_shot_primitives_match_the_session() {
     let w = suite::poly1305_workload(32);
     let cfg = CpuConfig::golden_cove_like().with_defense(DefenseMode::CassandraStl);
 
-    let legacy_analysis = analyze_workload(&w).unwrap();
-    let legacy = simulate_workload(&w, &legacy_analysis, &cfg).unwrap();
+    let one_shot_analysis =
+        Evaluator::analyze_once(&w.kernel.program, w.kernel.step_limit).unwrap();
+    let one_shot = Evaluator::simulate_program(
+        &w.kernel.program,
+        Some(&one_shot_analysis),
+        &cfg.with_max_instructions(cfg.max_instructions.max(w.kernel.step_limit)),
+    )
+    .unwrap();
 
     let mut session = Evaluator::new();
     let outcome = session.simulate_cached(&w, &cfg).unwrap();
-    assert_eq!(outcome.stats, legacy.stats);
+    assert_eq!(outcome.stats, one_shot.stats);
 
     let record = session.eval(&w, &DesignPoint::new("stl", cfg)).unwrap();
-    assert_eq!(record.stats, legacy.stats);
+    assert_eq!(record.stats, one_shot.stats);
     assert!(record.timing.analysis_cached, "second use hits the cache");
 
-    // The shim's bundle and the session's cached bundle are semantically
+    // The one-shot bundle and the session's cached bundle are semantically
     // identical: same replay-relevant content fingerprint.
     let session_analysis = session.analysis(&w).unwrap();
     assert_eq!(
-        legacy_analysis.bundle.fingerprint(),
+        one_shot_analysis.bundle.fingerprint(),
         session_analysis.bundle.fingerprint(),
         "one-shot and session analyses must replay the same traces"
     );

@@ -147,6 +147,7 @@ fn listing1_loop_skip_is_blocked_by_cassandra() {
     use cassandra::core::security::evaluate_scenario;
     let cfg = CpuConfig::golden_cove_like().with_defense(DefenseMode::Cassandra);
     let verdict = evaluate_scenario(
+        &mut Evaluator::new(),
         "listing1",
         |secret| cassandra::kernels::gadgets::listing1_decrypt(secret, 8),
         &cfg,
